@@ -14,9 +14,10 @@ concurrent clients through three phases:
   every caller).
 
 Each phase reports jobs/s plus p50/p99 per-job client-observed latency,
-and the run lands as a ``service`` section on the latest ``BENCH_sim.json``
-entry (the trajectory file the other benchmarks maintain; ``history``
-entries are untouched).
+and the run lands as the top-level ``service`` section of
+``BENCH_sim.json`` (the trajectory file ``bench_sim_throughput.py``
+maintains; it carries ``service`` forward, at top level, when it rolls
+its own latest entry into ``history``).
 
 ``--smoke`` is the CI gate: a small cold+warm+burst run that *asserts*
 the service's core economics -- every warm job answered from the cache
@@ -233,9 +234,14 @@ def main() -> None:
         "cpu_count": os.cpu_count() or 1,
     }
 
-    # graft onto the latest BENCH_sim.json entry; the file's history
-    # mechanics belong to bench_sim_throughput.py
     output = Path(args.output)
+    write_service(output, results)
+    print(f"wrote service section to {output}")
+
+
+def write_service(output: Path, results: dict) -> None:
+    """Replace the top-level ``service`` section of *output*; the file's
+    history mechanics belong to ``bench_sim_throughput.py``."""
     payload: dict = {}
     if output.exists():
         try:
@@ -247,7 +253,6 @@ def main() -> None:
             )
     payload["service"] = results
     output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote service section to {output}")
 
 
 if __name__ == "__main__":

@@ -71,25 +71,9 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     exe = _load(args.binary)
-    cpu, result = run_executable(
-        exe, profile=args.profile, engine=args.engine,
-        trace_threshold=args.trace_threshold,
-        replan_threshold=args.replan_threshold,
-        trace_persist=False if args.no_trace_persist else None,
-    )
+    cpu, result = run_executable(exe, profile=args.profile, engine=args.engine)
     print(f"halted: {result.halted}  instructions: {result.steps:,}  "
           f"cycles: {result.cycles:,}  CPI: {result.cpi:.2f}")
-    if args.trace_threshold and args.engine == "superblock":
-        sb = cpu._sb
-        traces = cpu.traces
-        covered = sum(t.instructions for t in traces)
-        source = "warm start (replayed)" if traces and not sb.trace_builds \
-            else f"built this run: {sb.trace_builds}"
-        print(f"traces: {len(traces)}  in-trace instructions: {covered:,} "
-              f"({100 * covered // max(1, result.steps)}%)  {source}")
-        if sb.replans_total:
-            print(f"replans: {sb.replans_total}  "
-                  f"links: {sb.trace_links}  retired: {len(sb.retired)}")
     if args.read:
         for symbol in args.read:
             print(f"  {symbol} = {cpu.read_word_global_signed(symbol)}")
@@ -597,17 +581,6 @@ def main(argv=None) -> int:
                    help="dispatch engine (superblock is ~2-3x faster; "
                         "both are differentially tested against the "
                         "reference interpreter)")
-    p.add_argument("--trace-threshold", type=int, default=1, metavar="SPREES",
-                   help="dispatch sprees before the trace tier compiles hot "
-                        "paths (superblock engine only; 0 disables traces)")
-    p.add_argument("--replan-threshold", type=float, default=0.25,
-                   metavar="SHARE",
-                   help="retire and rebuild traces when their share of "
-                        "executed instructions decays below SHARE for "
-                        "consecutive checkpoints (0 disables re-planning)")
-    p.add_argument("--no-trace-persist", action="store_true",
-                   help="do not read or write the on-disk trace cache "
-                        "(REPRO_TRACE_CACHE_DIR) for this run")
     p.add_argument("--read", nargs="*", help="data symbols to print after the run")
     _add_telemetry_flags(p)
     p.set_defaults(fn=cmd_run)

@@ -188,7 +188,9 @@ class PoolBridge:
     default = pool width) and maps them over worker processes; per-job
     outcomes flow back through *on_running* / *on_result* callbacks, which
     are invoked **on the bridge thread** -- the server wraps them with
-    ``loop.call_soon_threadsafe``.
+    ``loop.call_soon_threadsafe``.  *before_batch*, when given, runs on
+    the bridge thread before each drain; the server uses it to let the
+    event loop catch up (see :meth:`PartitionServer._yield_to_loop`).
     """
 
     def __init__(
@@ -198,12 +200,14 @@ class PoolBridge:
         on_result: Callable[[QueuedJob, str, object], None],
         max_workers: int | None = None,
         batch_limit: int | None = None,
+        before_batch: Callable[[], None] | None = None,
     ):
         import os
 
         self.queue = queue
         self.on_running = on_running
         self.on_result = on_result
+        self.before_batch = before_batch
         self.max_workers = max_workers
         self.batch_limit = batch_limit or max_workers or os.cpu_count() or 1
         self._thread: threading.Thread | None = None
@@ -221,6 +225,8 @@ class PoolBridge:
 
     def _run(self) -> None:
         while True:
+            if self.before_batch is not None:
+                self.before_batch()
             batch = self.queue.get_batch(self.batch_limit)
             if batch is None:
                 return

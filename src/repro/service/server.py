@@ -145,9 +145,31 @@ class PartitionServer:
             on_result=self._threadsafe(self._on_result),
             max_workers=self.config.max_workers,
             batch_limit=self.config.batch_limit,
+            before_batch=self._yield_to_loop,
         )
 
     # -- lifecycle -----------------------------------------------------
+
+    def _yield_to_loop(self) -> None:
+        """Block the bridge thread until the event loop has run two more
+        iterations.
+
+        Batches of one job (and ``max_workers=1``) run in-process on the
+        bridge thread and hold the GIL, so the loop thread gets a turn
+        only every switch interval -- too rarely to fire a queued job's
+        timeout or read a cancel request before the next drain.  Waiting
+        here lets timers that fell due and requests already received
+        take effect first.
+        """
+        loop = self._loop
+        if loop is None:
+            return
+        done = threading.Event()
+        try:
+            loop.call_soon_threadsafe(loop.call_soon, done.set)
+        except RuntimeError:
+            return  # loop closed: shutting down
+        done.wait(timeout=1.0)
 
     def _threadsafe(self, fn):
         def call(*args):

@@ -35,19 +35,16 @@ def _counter_value(name):
 class TestEngineMetrics:
     def test_superblock_run_populates_engine_metrics(self, telemetry):
         exe = compile_source(get_benchmark("brev").source)
-        result = Cpu(exe, trace_threshold=1).run()
+        result = Cpu(exe).run()
         assert _counter_value("engine.runs_total") == 1
         assert _counter_value("engine.runs.superblock") == 1
         assert _counter_value("engine.instructions_total") == result.steps
         assert _counter_value("engine.cycles_total") == result.cycles
-        # the tier split accounts for every instruction
+        # the block/stepped split accounts for every instruction
         split = (_counter_value("engine.instructions_in_blocks")
-                 + _counter_value("engine.instructions_in_traces")
                  + _counter_value("engine.instructions_stepped"))
         assert split == result.steps
-        assert _counter_value("engine.instructions_in_traces") > 0
-        assert obs.registry().get("engine.traces_installed").value > 0
-        assert _counter_value("engine.trace_builds_total") > 0
+        assert _counter_value("engine.instructions_in_blocks") > 0
         assert _counter_value("engine.codegen_units_total") > 0
 
     def test_threaded_run_counts_under_its_engine(self, telemetry):
@@ -58,13 +55,14 @@ class TestEngineMetrics:
 
     def test_consecutive_runs_report_per_run_deltas(self, telemetry):
         exe = compile_source(get_benchmark("brev").source)
-        cpu = Cpu(exe, trace_threshold=1)
+        cpu = Cpu(exe)
         first = cpu.run()
-        builds_after_first = _counter_value("engine.trace_builds_total")
+        units_after_first = _counter_value("engine.codegen_units_total")
         second = cpu.run()
         # cumulative table stats must not be double-counted on run 2
-        # (the table is warm, so no new builds happen)
-        assert _counter_value("engine.trace_builds_total") == builds_after_first
+        # (the table is warm, so no new units are generated)
+        assert units_after_first > 0
+        assert _counter_value("engine.codegen_units_total") == units_after_first
         assert _counter_value("engine.instructions_total") \
             == first.steps + second.steps
         assert _counter_value("engine.runs_total") == 2
@@ -73,7 +71,7 @@ class TestEngineMetrics:
         obs.disable()
         obs.clear_metrics()
         exe = compile_source(get_benchmark("brev").source)
-        Cpu(exe, trace_threshold=1).run()
+        Cpu(exe).run()
         assert len(obs.registry()) == 0
 
 

@@ -167,6 +167,34 @@ class TestBridge:
         assert status == "error"
         assert message  # human-readable reason, not a traceback object
 
+    def test_before_batch_runs_before_every_drain(self):
+        # the server's hook lets its event loop fire due timeouts; here
+        # the hook cancels a queued entry, which must never start
+        q = JobQueue()
+        entries = [_entry(name=f"j{i}") for i in range(3)]
+        for entry in entries:
+            q.put(entry)
+        calls, results = [], []
+        done = threading.Event()
+
+        def before_batch():
+            calls.append(len(results))
+            if len(calls) == 2:
+                assert q.cancel(entries[2].id)
+
+        def on_result(entry, status, value):
+            results.append(entry.key)
+            if len(results) == 2:
+                done.set()
+
+        bridge = PoolBridge(q, lambda e: None, on_result, max_workers=1,
+                            batch_limit=1, before_batch=before_batch)
+        bridge.start()
+        assert done.wait(timeout=60), "bridge never delivered the results"
+        bridge.stop(timeout=10)
+        assert results == ["j0", "j1"]
+        assert calls == [0, 1, 2]
+
     def test_stop_unblocks_an_idle_bridge(self):
         q = JobQueue()
         bridge = PoolBridge(q, lambda e: None, lambda e, s, v: None,

@@ -30,18 +30,32 @@ import pytest
 from repro.compiler import compile_source
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import ALL_BENCHMARKS, get_benchmark
-from repro.sim import run_executable, run_reference
+from repro.sim import Cpu, run_reference
 
-# label -> Cpu kwargs.  "traces" forces the trace tier on hard: a tiny
-# spree budget makes warmup checkpoints fire almost immediately and an
-# aggressive spill threshold keeps the cold-counter machinery engaged,
-# so every fuzz seed exercises build, guard exits, spill and reheat.
+# label -> Cpu kwargs, plus an optional sample interval.  An unsampled run
+# folds its unit counters only once, at halt, so the cold-counter spill
+# never fires there; "superblock-sampled" folds every 4096 instructions
+# with an aggressive spill threshold, so every benchmark, fuzz seed and
+# hazard program also exercises spill and reheat.
 ENGINES = (
     ("threaded", {"engine": "threaded"}),
-    ("superblock", {"engine": "superblock", "trace_threshold": 0}),
-    ("traces", {"engine": "superblock", "trace_threshold": 1,
-                "spree_size": 4096, "spill_after": 2}),
+    ("superblock", {"engine": "superblock", "spill_after": 2}),
+    ("superblock-sampled", {"engine": "superblock", "spill_after": 2,
+                            "sample_interval": 4096}),
 )
+
+
+def run_engine(exe, config, max_steps=100_000_000, **cpu_kwargs):
+    """(cpu, result) of *exe* on one :data:`ENGINES` config.
+
+    A ``sample_interval`` entry runs through the sampling hook with a
+    callback that only observes, so the result must not change.
+    """
+    config = dict(config)
+    interval = config.pop("sample_interval", 0)
+    cpu = Cpu(exe, **config, **cpu_kwargs)
+    result = cpu.run(max_steps, interval, lambda counts, taken: None)
+    return cpu, result
 
 #: the acceptance bar: the whole suite, on hard- and soft-core platforms
 CORES = {"hard": MIPS_200MHZ, "soft": SOFTCORE_85MHZ}
@@ -80,8 +94,8 @@ class TestBenchmarkSuite:
         exe = compiled(name)
         cpi = CORES[core].cpi
         ref = run_reference(exe, profile=True, cpi=cpi)
-        for label, kwargs in ENGINES:
-            _, got = run_executable(exe, profile=True, cpi=cpi, **kwargs)
+        for label, config in ENGINES:
+            _, got = run_engine(exe, config, profile=True, cpi=cpi)
             assert_identical(got, ref, f"{name} on {core} core, {label} engine")
 
 
@@ -266,10 +280,8 @@ class TestRandomPrograms:
         exe = compile_source(source, opt_level=opt_level)
         ref = run_reference(exe, profile=True, max_steps=20_000_000)
         checksums = set()
-        for label, kwargs in ENGINES:
-            cpu, got = run_executable(
-                exe, profile=True, max_steps=20_000_000, **kwargs
-            )
+        for label, config in ENGINES:
+            cpu, got = run_engine(exe, config, 20_000_000, profile=True)
             assert_identical(got, ref, f"seed={seed} -O{opt_level} {label}\n{source}")
             checksums.add(cpu.read_word_global_signed("checksum"))
         assert len(checksums) == 1, f"seed={seed}: engines disagree on memory"
@@ -284,13 +296,13 @@ class TestRandomPrograms:
         assert any("switch" in random_program(seed) for seed in range(24))
 
 
-# -- trace-tier hazard programs ---------------------------------------------
+# -- hazard programs --------------------------------------------------------
 #
-# Deterministic sources aimed at the spots where the trace tier could
-# drift from the block tier: long fused j-chains, loops whose hot
-# direction flips after the trace is already installed (guard exits on
-# every remaining iteration), and jump-table dispatch landing mid-trace
-# on lazily materialized suffix blocks.
+# Deterministic sources aimed at the spots where a compiled engine could
+# drift from the reference: long fused j-chains, loops whose hot
+# direction flips halfway through the run (so units hot in the first
+# phase go cold and spill), and jump-table dispatch landing mid-block on
+# lazily materialized suffix units.
 
 
 def _j_chain_ladder(rungs: int) -> str:
@@ -316,9 +328,9 @@ def _j_chain_ladder(rungs: int) -> str:
 
 
 def _phase_flip(iters: int) -> str:
-    """A loop whose hot arm flips halfway through the run: the trace
-    built during the first phase keeps its guard, which must fail (and
-    exit exactly) on every iteration of the second phase."""
+    """A loop whose hot arm flips halfway through the run: the first
+    phase's arm goes cold for the rest of the run, and the second
+    phase's arm heats up only after the first has spilled."""
     half = iters // 2
     return (
         "int acc; int alt;\n"
@@ -340,8 +352,8 @@ def _phase_flip(iters: int) -> str:
 def _jr_into_hot_loop(iters: int) -> str:
     """A dense switch inside a hot loop: the jump table dispatches by
     ``jr`` into case bodies that sit on the loop's hot fall-through
-    path, so dynamic entries land mid-block next to installed traces
-    and hit lazily materialized suffix units."""
+    path, so dynamic entries land mid-block and hit lazily materialized
+    suffix units."""
     cases = "\n".join(
         f"        case {k}: acc += (acc >> {k + 1}) ^ {k * 7 + 1}; break;"
         for k in range(8)
@@ -369,60 +381,21 @@ HAZARDS = {
 }
 
 
-class TestTraceHazards:
+class TestHazardPrograms:
     @pytest.mark.parametrize("name", sorted(HAZARDS))
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_engines_bit_identical(self, name, opt_level):
         exe = compile_source(HAZARDS[name], opt_level=opt_level)
         ref = run_reference(exe, profile=True)
-        for label, kwargs in ENGINES:
-            _, got = run_executable(exe, profile=True, **kwargs)
+        for label, config in ENGINES:
+            _, got = run_engine(exe, config, profile=True)
             assert_identical(got, ref, f"{name} -O{opt_level} {label}")
 
-    def test_phase_flip_exercises_guard_exits(self):
-        # the hazard is only a hazard if the first-phase trace survives
-        # into the second phase; assert the tier actually built traces
+    def test_sampled_config_spills_and_reheats(self):
+        # the sampled config earns its place only if spill really fires:
+        # phase_flip's second arm is cold (spilled) through the first
+        # half of the run and reheats in the second
         exe = compile_source(HAZARDS["phase_flip"], opt_level=1)
-        cpu, _ = run_executable(
-            exe, trace_threshold=1, spree_size=4096, spill_after=2,
-            replan_threshold=0.0,  # keep the stale trace installed
-        )
-        assert cpu.traces, "phase-flip program built no traces"
-
-    def test_phase_flip_triggers_replan(self):
-        # with re-planning on, the decaying call rate of the first-phase
-        # trace must trip a replan, and the rebuilt trace set must cover
-        # the second phase -- all while staying bit-identical
-        exe = compile_source(_phase_flip(40_000), opt_level=1)
-        ref = run_reference(exe, profile=True)
-        cpu, got = run_executable(
-            exe, profile=True, trace_threshold=1, spree_size=4096,
-            spill_after=2,
-        )
-        assert_identical(got, ref, "phase_flip replan")
-        sb = cpu._sb
-        assert sb.replans_total >= 1, "phase flip did not trigger a replan"
-        assert sb.retired, "replan retired no traces"
-        # recovery: the active (post-replan) traces must carry a healthy
-        # share of the run again, not just exist
-        active = sum(t.instructions for t in cpu.traces)
-        assert active > got.steps * 0.3, (
-            f"post-replan traces cover {active}/{got.steps} instructions"
-        )
-        # the retired first-phase traces did real work before decaying
-        assert sum(t.instructions for t in sb.retired) > 0
-        # and the second phase traced *new* code, not the stale anchors
-        assert {t.anchor for t in cpu.traces} != {
-            t.anchor for t in sb.retired
-        }
-
-    def test_phase_flip_replan_matches_threaded_memory(self):
-        exe = compile_source(_phase_flip(40_000), opt_level=1)
-        traced, _ = run_executable(
-            exe, trace_threshold=1, spree_size=4096
-        )
-        assert traced._sb.replans_total >= 1
-        plain, _ = run_executable(exe, engine="threaded")
-        for symbol in ("acc", "alt"):
-            assert traced.read_word_global_signed(symbol) \
-                == plain.read_word_global_signed(symbol)
+        cpu, _ = run_engine(exe, dict(ENGINES)["superblock-sampled"])
+        assert cpu._sb.spilled > 0
+        assert cpu._sb.reheats > 0

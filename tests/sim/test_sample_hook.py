@@ -210,6 +210,23 @@ class TestRunSampledGenerator:
         with pytest.raises(SimulationError):
             next(cpu.run_sampled(sample_interval=0))
 
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "soon", [1]],
+                             ids=["negative", "float", "bool", "str", "list"])
+    def test_rejects_bad_first_interval(self, engine, bad):
+        # the first interval gets the same guard as an override: a float
+        # used to crash mid-run inside repeat(), and True used to sample
+        # after every single instruction
+        from repro.errors import SimulationError
+
+        calls = []
+        with pytest.raises(SimulationError, match="sample_interval"):
+            Cpu(_exe(), engine=engine).run(
+                sample_interval=bad, on_sample=lambda c, t: calls.append(1)
+            )
+        assert calls == []
+        with pytest.raises(SimulationError, match="sample_interval"):
+            next(Cpu(_exe(), engine=engine).run_sampled(sample_interval=bad))
+
     @pytest.mark.parametrize("bad", [-1, 0.5, True, "soon", [1]],
                              ids=["negative", "float", "bool", "str", "list"])
     def test_rejects_bad_interval_overrides(self, engine, bad):
@@ -283,27 +300,16 @@ class TestCrossEngineSampling:
         assert deltas <= {0, 1}
 
 
-class TestSpillAndTraceSampling:
-    """Cold-counter spill and the trace tier must not move a single
-    sample boundary or counter value.
+class TestSpillSampling:
+    """Cold-counter spill must not move a single sample boundary or
+    counter value.
 
-    The spill machinery rewrites live counter bookkeeping mid-run and
-    the trace tier installs multi-block functions over the same table;
+    The spill machinery rewrites live counter bookkeeping mid-run;
     sampled runs must stay bit-identical to the threaded engine at every
     observation point regardless.  Interval 1 forces a single-stepped
     tail on every chunk, 7 and 97 land boundaries mid-block and
     mid-chain.
     """
-
-    #: superblock configurations that exercise spill, traces, and both
-    CONFIGS = {
-        "spill": {"engine": "superblock", "trace_threshold": 0,
-                  "spill_after": 1},
-        "traces": {"engine": "superblock", "trace_threshold": 1,
-                   "spree_size": 4096, "spill_after": 0},
-        "spill+traces": {"engine": "superblock", "trace_threshold": 1,
-                         "spree_size": 4096, "spill_after": 1},
-    }
 
     @staticmethod
     def _trace(interval, **kwargs):
@@ -318,10 +324,11 @@ class TestSpillAndTraceSampling:
         return samples, result
 
     @pytest.mark.parametrize("interval", [1, 7, 97])
-    @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_bit_identical_samples(self, config, interval):
+    def test_bit_identical_samples(self, interval):
         expected_samples, expected = self._trace(interval, engine="threaded")
-        got_samples, got = self._trace(interval, **self.CONFIGS[config])
+        # spill_after=1: a unit spills at its first idle fold
+        got_samples, got = self._trace(interval, engine="superblock",
+                                       spill_after=1)
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
         assert expected.pc_counts == got.pc_counts
@@ -330,6 +337,6 @@ class TestSpillAndTraceSampling:
             zip(expected_samples, got_samples)
         ):
             assert want == have, (
-                f"{config} at interval {interval}: sample {position} diverged"
+                f"spill at interval {interval}: sample {position} diverged"
             )
 
