@@ -47,6 +47,25 @@ class TestEngineMetrics:
         assert _counter_value("engine.instructions_in_blocks") > 0
         assert _counter_value("engine.codegen_units_total") > 0
 
+    @pytest.mark.parametrize("interval", [1, 7, 97])
+    def test_sampled_split_accounts_for_every_instruction(
+        self, telemetry, interval
+    ):
+        # sampled folds and cold-counter spills must not lose or double
+        # count a block instruction in the run-end split
+        exe = compile_source(get_benchmark("brev").source)
+        cpu = Cpu(exe, spill_after=1)
+        result = cpu.run(sample_interval=interval,
+                         on_sample=lambda counts, taken: None)
+        assert _counter_value("engine.instructions_total") == result.steps
+        split = (_counter_value("engine.instructions_in_blocks")
+                 + _counter_value("engine.instructions_stepped"))
+        assert split == result.steps
+        assert cpu._sb.spilled > 0 and cpu._sb.reheats > 0
+        assert _counter_value("engine.counter_spills_total") == cpu._sb.spilled
+        assert _counter_value("engine.counter_reheats_total") \
+            == cpu._sb.reheats
+
     def test_threaded_run_counts_under_its_engine(self, telemetry):
         exe = compile_source(get_benchmark("crc").source)
         Cpu(exe, engine="threaded").run()

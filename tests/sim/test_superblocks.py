@@ -13,11 +13,16 @@ The invariants the dispatch rewrite stands on:
 * a dynamic jump into the *middle* of a block (hand-written assembly can
   do what the compiler never does) falls back to lazily-materialized
   suffix blocks and still produces bit-identical statistics.
+
+The block tier's own knobs and exactness follow: ``spill_after``
+validation, ``max_steps`` budgets that stop on the reference's step,
+j-chain fusion, and spill/reheat churn under sampling.
 """
 
 import pytest
 
 from repro.compiler import compile_source
+from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.isa.encoding import decode
 from repro.programs import get_benchmark
@@ -25,7 +30,7 @@ from repro.sim import run_executable, run_reference
 from repro.sim.cpu import Cpu
 from repro.sim.superblock import CONTROL_TRANSFERS
 
-from tests.sim.test_differential import assert_identical, random_program
+from tests.sim.test_differential import HAZARDS, assert_identical, random_program
 
 _SWITCH = """
 int results[8];
@@ -184,3 +189,121 @@ total: .word 0
         # the overlapping instructions came out exact (checked vs reference
         # in the test above), and the suffix is reused on the next run
         assert cpu._sb.entries[entry_index][1] is materialized
+
+
+#: a hot counted loop with a biased branch -- small enough to compile
+#: fast, long enough that budgets land deep inside fused units
+_LOOP = """
+int data[32];
+int checksum;
+int main(void) {
+    int i; int r; int acc;
+    acc = 7;
+    for (r = 0; r < 400; r++) {
+        for (i = 0; i < 32; i++) {
+            if (data[i] < 1000)
+                data[i] = data[i] * 3 + r;
+            else
+                data[i] = data[i] >> 1;
+            acc = acc + data[i];
+        }
+    }
+    checksum = acc + data[5];
+    return 0;
+}
+"""
+
+
+def _loop_exe():
+    return compile_source(_LOOP, opt_level=1)
+
+
+class TestSpillKnob:
+    @pytest.mark.parametrize("bad", [-1, 0.5, True, "often", [1]],
+                             ids=["negative", "float", "bool", "str", "list"])
+    def test_rejects_bad_spill_after(self, bad):
+        with pytest.raises(ValueError, match="spill_after"):
+            Cpu(_loop_exe(), spill_after=bad)
+
+    def test_zero_disables_spill(self):
+        # sampled folds every 97 instructions would spill idle units at
+        # any positive threshold; 0 must keep every counter in the scan
+        exe = _loop_exe()
+        ref = run_reference(exe, profile=True)
+        cpu = Cpu(exe, profile=True, spill_after=0)
+        got = cpu.run(sample_interval=97, on_sample=lambda c, t: None)
+        assert_identical(got, ref, "spill_after=0")
+        assert cpu._sb.spilled == 0
+        assert cpu._sb.reheats == 0
+
+
+class TestBudgetExactness:
+    @pytest.mark.parametrize("budget", [1, 7, 97, 5000, 50_001])
+    def test_max_steps_stops_on_the_reference_step(self, budget):
+        # a run that exceeds its budget must stop on the same step with
+        # the same pc whether fused units dispatch many instructions per
+        # call or the reference single-steps
+        exe = _loop_exe()
+        with pytest.raises(SimulationError) as ref_err:
+            run_reference(exe, profile=True, max_steps=budget)
+        with pytest.raises(SimulationError) as got_err:
+            Cpu(exe, profile=True).run(max_steps=budget)
+        assert str(got_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("budget", [97, 5000])
+    def test_sampled_budget_stops_on_the_reference_step(self, budget):
+        # the sampled path budget-checks each unit against both the chunk
+        # and max_steps; spill churn must not move the stopping step
+        exe = _loop_exe()
+        with pytest.raises(SimulationError) as ref_err:
+            run_reference(exe, profile=True, max_steps=budget)
+        with pytest.raises(SimulationError) as got_err:
+            Cpu(exe, profile=True, spill_after=1).run(
+                max_steps=budget, sample_interval=7,
+                on_sample=lambda c, t: None,
+            )
+        assert str(got_err.value) == str(ref_err.value)
+
+
+class TestBlockTierExactness:
+    def test_j_chain_ladder_fuses_and_matches_reference(self):
+        exe = compile_source(HAZARDS["j_chain_ladder"], opt_level=1)
+        ref = run_reference(exe, profile=True)
+        cpu = Cpu(exe, profile=True)
+        got = cpu.run()
+        assert cpu._sb.chains, "ladder program fused no j-chains"
+        assert_identical(got, ref, "j_chain_ladder")
+
+    def test_short_inner_loop_is_exact_under_spill(self):
+        # the inner loop runs once or twice per outer iteration, so its
+        # back-edge unit alternates hot and idle across sampled folds and
+        # spills and reheats over and over
+        source = """
+        int data[16];
+        int checksum;
+        int main(void) {
+            int i; int r; int n;
+            for (r = 0; r < 3000; r++) {
+                n = (r & 1) + 1;
+                for (i = 0; i < n; i++)
+                    data[i & 15] = data[i & 15] + r - i;
+            }
+            checksum = data[0] + data[1];
+            return 0;
+        }
+        """
+        exe = compile_source(source, opt_level=1)
+        ref = run_reference(exe, profile=True)
+        cpu = Cpu(exe, profile=True, spill_after=1)
+        got = cpu.run(sample_interval=7, on_sample=lambda c, t: None)
+        assert_identical(got, ref, "short inner loop, spill_after=1")
+        assert cpu._sb.spilled > 0 and cpu._sb.reheats > 0
+        plain, _ = run_executable(exe, engine="threaded")
+        assert cpu.read_word_global_signed("checksum") \
+            == plain.read_word_global_signed("checksum")
+
+    def test_unprofiled_run_matches_reference(self):
+        exe = _loop_exe()
+        ref = run_reference(exe, profile=False)
+        got = Cpu(exe, profile=False).run()
+        assert_identical(got, ref, "unprofiled")

@@ -34,6 +34,19 @@ def test_compile_and_run(binary, capsys):
     assert "checksum" in output
 
 
+@pytest.mark.parametrize("extra", [[], ["--profile"]],
+                         ids=["plain", "profile"])
+def test_run_engines_agree(binary, capsys, extra):
+    # the summary line carries steps, cycles and CPI: both dispatch
+    # engines must print it identically
+    lines = {}
+    for engine in ("superblock", "threaded"):
+        assert main(["run", str(binary), "--engine", engine, *extra]) == 0
+        lines[engine] = capsys.readouterr().out.splitlines()[0]
+    assert lines["superblock"] == lines["threaded"]
+    assert lines["superblock"].startswith("halted: True")
+
+
 def test_partition(binary, capsys):
     assert main(["partition", str(binary), "--cpu-mhz", "200"]) == 0
     output = capsys.readouterr().out
