@@ -49,6 +49,7 @@ from repro.binary.image import Executable
 from repro.decompile.decompiler import (
     DecompilationOptions,
     DecompiledFunction,
+    DecompiledProgram,
     decompile,
 )
 from repro.dynamic.fabric import FabricState
@@ -375,6 +376,10 @@ class DynamicPartitionController:
         self._interval = self.config.sample_interval
         self._stable_samples = 0
         self._sites: dict[int, LoopSite] | None = None   # lazy on-chip CAD
+        #: what the on-chip CAD decompiled; ``None`` until it first runs.
+        #: The dynamic flows hand it to the static side, so each binary
+        #: is decompiled once
+        self.program: DecompiledProgram | None = None
         self._synthesizer = Synthesizer(self.synthesis_options)
         self._unrecoverable = False
         #: online hardware-time estimates go through the same per-device
@@ -391,7 +396,7 @@ class DynamicPartitionController:
             return self._sites
         self._sites = {}
         with obs.span("cad.decompile", app=self.name):
-            program = decompile(self.exe, self.decompile_options)
+            program = self.program = decompile(self.exe, self.decompile_options)
         if program.failures:
             # same policy as the static flow: indirect jumps defeat CDFG
             # recovery, the application stays all-software

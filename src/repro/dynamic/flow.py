@@ -1,11 +1,12 @@
 """End-to-end dynamic (run-time) partitioning flow.
 
-One simulation serves both sides of the comparison: the application runs
-once on the simulator (superblock dispatch; the sampling hook fires at
-identical instruction counts on every engine) with the hook driving the
-online profiler and dynamic partition controller, and the very same
-profiled :class:`~repro.sim.cpu.RunResult` then feeds the ordinary static
-flow.  The
+One simulation and one decompile serve both sides of the comparison: the
+application runs once on the simulator (superblock dispatch; the sampling
+hook fires at identical instruction counts on every engine) with the hook
+driving the online profiler and dynamic partition controller, and the very
+same profiled :class:`~repro.sim.cpu.RunResult` then feeds the ordinary
+static flow.  The static flow also reuses the program the controller's
+on-chip CAD decompiled (it decompiles only when the CAD never ran).  The
 resulting :class:`~repro.flow.DynamicFlowReport` holds the static (oracle
 profile, no overheads) partition next to the dynamic timeline (online
 profile, CAD/reconfiguration charged), which is exactly the comparison the
@@ -89,6 +90,7 @@ def run_dynamic_flow_on_executable(
         synthesis_options=synthesis_options,
         max_steps=max_steps,
         run=result,
+        program=controller.program,
     )
     return DynamicFlowReport(
         name=name,

@@ -150,6 +150,7 @@ def run_multi_app_flow(
             synthesis_options=synthesis_options,
             max_steps=max_steps,
             run=app.result,
+            program=app.controller.program,
         )
         reports.append(DynamicFlowReport(
             name=app.spec.name,

@@ -368,27 +368,43 @@ def run_flow_on_executable(
     run: RunResult | None = None,
     devices=None,
     partition_passes=None,
+    program: DecompiledProgram | None = None,
 ) -> FlowReport:
     """Flow starting from an already-built binary (the paper's actual input).
 
     Pass *run* to reuse an existing profiled simulation of *exe* (it must
     have been produced with ``profile=True`` and this platform's CPI model);
     the dynamic flow uses this to evaluate static and dynamic partitioning
-    from one simulation.
+    from one simulation.  A *run* that executed instructions but carries no
+    per-address counts was not profiled and raises :class:`ValueError`.
+
+    Pass *program* to reuse an existing decompilation of *exe* (made with
+    the same *decompile_options*); the flow then skips ``decompile``.  The
+    dynamic flow hands over the program its on-chip CAD already recovered,
+    so each binary is decompiled once.  A program of a different
+    executable raises :class:`ValueError`.
 
     *devices* (a :class:`~repro.platform.devices.DeviceSpec` sequence) and
     *partition_passes* (a pass list or algorithm name) select the
     partitioning pipeline; the defaults reproduce the paper's flow -- the
     90-10 heuristic over the two-device CPU + monolithic-fabric view.
     """
+    if run is not None and run.steps > 0 and not run.pc_counts:
+        raise ValueError(
+            f"{name}: run= has {run.steps} steps but no pc_counts; "
+            f"simulate with profile=True"
+        )
+    if program is not None and program.exe is not exe:
+        raise ValueError(f"{name}: program= was decompiled from another executable")
     if run is None:
         with obs.span("flow.simulate", benchmark=name):
             _, run = run_executable(
                 exe, profile=True, max_steps=max_steps, cpi=platform.cpi
             )
 
-    with obs.span("flow.decompile", benchmark=name):
-        program = decompile(exe, decompile_options)
+    if program is None:
+        with obs.span("flow.decompile", benchmark=name):
+            program = decompile(exe, decompile_options)
     if program.failures:
         reasons = "; ".join(
             f"{f.function}@{f.address:#x}: {f.reason}" for f in program.failures

@@ -23,7 +23,8 @@ Design notes:
   out of the fold scan (``spill_after``) and reheat transparently.  The
   threaded table stays fully built either way: the superblock loop
   falls back to it to single-step chunk tails (exact sampling
-  boundaries and *max_steps* tails).  Select with
+  boundaries and *max_steps* tails) and, after a sampling boundary
+  that fell mid-block, to step to that block's end.  Select with
   ``Cpu(exe, engine="threaded"|"superblock")``.
 * Statistics are *derived*, not collected: the loop maintains one
   per-instruction execution counter; branch executors bump a per-site
@@ -759,6 +760,14 @@ class Cpu:
         their dynamic-partition controllers an interleaved view of a
         shared :class:`~repro.dynamic.fabric.FabricState` (see
         :mod:`repro.dynamic.multi`).
+
+        On the superblock engine a chunk runs a unit only when the whole
+        unit fits in its remaining budget and single-steps the tail
+        otherwise, so a boundary may fall mid-block.  The next chunk then
+        single-steps to that block's end (at most its budget) before it
+        resumes unit dispatch: sample boundaries generate no code.  Only a
+        dynamic jump into mid-block (a jump-table ``jr``) materializes a
+        suffix unit.
         """
         _check_interval(sample_interval, "sample_interval")
         text_base = self.exe.text_base
@@ -779,6 +788,7 @@ class Cpu:
         if sb is not None:
             sb.reset()
             entries = sb.entries
+            suffix_len = sb.suffix_len
             materialize = sb.materialize
         halted = False
         run_started = time.monotonic()
@@ -792,6 +802,14 @@ class Cpu:
                         counts[index] += 1
                         index = handlers[index]()
                 else:
+                    if entries[index][1] is None:
+                        # the previous chunk ended mid-block: step to the
+                        # block's end instead of generating a suffix unit
+                        steps = min(suffix_len[index], budget)
+                        for _ in repeat(None, steps):
+                            counts[index] += 1
+                            index = handlers[index]()
+                        budget -= steps
                     while budget > 0:
                         n, fn = entries[index]
                         if n > budget:
