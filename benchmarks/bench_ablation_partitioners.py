@@ -18,15 +18,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.decompile import decompile
-from repro.partition import (
-    NinetyTenPartitioner,
-    annealing_partition,
-    build_candidates,
-    build_profile,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
-)
+from repro.partition import build_candidates, build_profile, partition
 from repro.platform import MIPS_200MHZ
 from repro.programs import get_benchmark
 from repro.sim import run_executable
@@ -51,14 +43,22 @@ def candidate_sets():
     return sets
 
 
+def _partitioner(algorithm):
+    def run(candidates, total_cycles):
+        return partition(
+            candidates, MIPS_200MHZ.devices, platform=MIPS_200MHZ,
+            total_cycles=total_cycles, passes=algorithm,
+        ).result
+    return run
+
+
 def _algorithms():
-    ninety = NinetyTenPartitioner(MIPS_200MHZ)
     return {
-        "90-10 (paper)": lambda c, t: ninety.partition(c, t),
-        "greedy density": lambda c, t: greedy_partition(MIPS_200MHZ, c, t),
-        "GCLP": lambda c, t: gclp_partition(MIPS_200MHZ, c, t),
-        "annealing": lambda c, t: annealing_partition(MIPS_200MHZ, c, t),
-        "exhaustive": lambda c, t: exhaustive_partition(MIPS_200MHZ, c, t),
+        "90-10 (paper)": _partitioner("90-10"),
+        "greedy density": _partitioner("greedy"),
+        "GCLP": _partitioner("gclp"),
+        "annealing": _partitioner("annealing"),
+        "exhaustive": _partitioner("exhaustive"),
     }
 
 
@@ -145,6 +145,6 @@ def test_bench_ninety_ten_speed(benchmark, candidate_sets):
     """Times one 90-10 partitioning run (must be fast: it is the paper's
     argument for the heuristic)."""
     profile, candidates = candidate_sets["jpegdct"]
-    partitioner = NinetyTenPartitioner(MIPS_200MHZ)
-    result = benchmark(lambda: partitioner.partition(candidates, profile.total_cycles))
+    partitioner = _partitioner("90-10")
+    result = benchmark(lambda: partitioner(candidates, profile.total_cycles))
     assert result.selected

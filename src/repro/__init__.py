@@ -41,7 +41,7 @@ from repro.flow import (
     run_flow_on_executable,
 )
 from repro.partition.api import PartitionOutcome
-from repro.partition.ninety_ten import NinetyTenPartitioner
+from repro.partition.result import PartitionResult
 from repro.platform.devices import DeviceSpec
 from repro.platform.platform import (
     MIPS_200MHZ,
@@ -67,8 +67,8 @@ __all__ = [
     "MIPS_400MHZ",
     "MIPS_40MHZ",
     "DeviceSpec",
-    "NinetyTenPartitioner",
     "PartitionOutcome",
+    "PartitionResult",
     "Platform",
     "SOFTCORE_50MHZ",
     "SOFTCORE_85MHZ",

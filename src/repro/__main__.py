@@ -176,9 +176,7 @@ def cmd_partition(args) -> int:
     )
     options = DecompilationOptions(recover_jump_tables=args.jump_tables)
     devices = _parse_devices(args.devices, platform) if args.devices else None
-    passes = None
-    if args.devices or args.passes or args.algorithm != "90-10":
-        passes = _parse_passes(args.passes, args.algorithm)
+    passes = _parse_passes(args.passes, args.algorithm)
     report = run_flow_on_executable(
         exe, Path(args.binary).stem, platform=platform,
         decompile_options=options, devices=devices, partition_passes=passes,

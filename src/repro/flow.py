@@ -35,10 +35,10 @@ from repro.decompile.decompiler import (
     PassStats,
     decompile,
 )
-from repro.partition.api import default_passes, legacy_devices, partition as run_partition
+from repro.partition.api import partition as run_partition
 from repro.partition.estimator import build_candidates
-from repro.partition.ninety_ten import PartitionResult
 from repro.partition.profiles import ProgramProfile, build_profile
+from repro.partition.result import PartitionResult
 from repro.platform.metrics import ApplicationMetrics, evaluate_partition
 from repro.platform.platform import MIPS_200MHZ, Platform
 from repro.sim.cpu import RunResult, run_executable
@@ -386,8 +386,9 @@ def run_flow_on_executable(
 
     *devices* (a :class:`~repro.platform.devices.DeviceSpec` sequence) and
     *partition_passes* (a pass list or algorithm name) select the
-    partitioning pipeline; the defaults reproduce the paper's flow -- the
-    90-10 heuristic over the two-device CPU + monolithic-fabric view.
+    partitioning pipeline; the defaults are the paper's flow -- the 90-10
+    heuristic over the CPU and one monolithic fabric, whatever the
+    platform's ``fabric_regions``.
     """
     if run is not None and run.steps > 0 and not run.pc_counts:
         raise ValueError(
@@ -424,11 +425,10 @@ def run_flow_on_executable(
     synthesis = synthesis_options or SynthesisOptions(device=platform.device)
     with obs.span("flow.partition", benchmark=name):
         candidates = build_candidates(exe, program, profile, platform, synthesis)
-        if devices is None and partition_passes is None:
-            # the paper's flow: 90-10 over CPU + monolithic fabric,
-            # bit-identical to the pre-pipeline partitioner
-            devices = legacy_devices(platform)
-            partition_passes = default_passes("90-10", legacy=True)
+        if devices is None:
+            # the paper's flow partitions one monolithic fabric, also when
+            # the platform is split into PR regions
+            devices = platform.with_regions(0).devices
         outcome = run_partition(
             candidates,
             devices,

@@ -14,22 +14,13 @@
   paper's three-step 90-10 heuristic plus greedy, GCLP, annealing and the
   exhaustive reference,
 * :mod:`legalize` -- the one shared budget/overlap validation and repair,
-* :mod:`api` -- the single entry point :func:`partition`,
-* :mod:`ninety_ten` / :mod:`baselines` -- the legacy two-device API, kept
-  as bit-identical shims over the pipeline.
+* :mod:`api` -- the single entry point :func:`partition`.
 """
 
 from repro.partition.api import (
     PartitionOutcome,
     default_passes,
-    legacy_devices,
     partition,
-)
-from repro.partition.baselines import (
-    annealing_partition,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
 )
 from repro.partition.costmodels import (
     CostModel,
@@ -45,7 +36,6 @@ from repro.partition.graph import (
     PartitionNode,
     build_graph,
 )
-from repro.partition.ninety_ten import NinetyTenPartitioner
 from repro.partition.passes import (
     AnnotatePass,
     FilterPass,
@@ -80,7 +70,6 @@ __all__ = [
     "LegalizePass",
     "LoopProfile",
     "NinetyTenOptions",
-    "NinetyTenPartitioner",
     "NinetyTenPlacement",
     "PLACEMENTS",
     "PartitionEdge",
@@ -92,17 +81,12 @@ __all__ = [
     "PassManager",
     "PlacementPass",
     "ProgramProfile",
-    "annealing_partition",
     "build_candidates",
     "build_graph",
     "build_profile",
     "cost_model_for",
     "default_passes",
     "device_cost",
-    "exhaustive_partition",
-    "gclp_partition",
-    "greedy_partition",
-    "legacy_devices",
     "partition",
     "register_cost_model",
     "result_from_graph",

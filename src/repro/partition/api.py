@@ -1,15 +1,13 @@
 """The one partitioning entry point: ``partition(graph, devices, passes=...)``.
 
 ``flow.py``, the dynamic controller's static baseline, the CLI and the
-benchmarks all come through here; the legacy two-device helpers
-(``greedy_partition`` and friends, ``NinetyTenPartitioner``) are thin shims
-over this function and reproduce their pre-refactor results bit-identically
-(see ``tests/partition/test_legacy_shim.py``).
+benchmarks all come through here; there is no other way to run a
+placement algorithm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.partition.graph import PartitionGraph, build_graph
@@ -24,7 +22,7 @@ from repro.partition.passes import (
 )
 from repro.partition.placement import PLACEMENTS, PlacementPass
 from repro.partition.result import PartitionResult, result_from_graph
-from repro.platform.devices import DeviceSpec, cpu_device, fabric_device
+from repro.platform.devices import DeviceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.partition.estimator import Candidate
@@ -57,19 +55,7 @@ class PartitionOutcome:
         return out
 
 
-def legacy_devices(platform: "Platform") -> tuple[DeviceSpec, ...]:
-    """The pre-refactor two-device view: CPU + one monolithic fabric
-    carrying the whole kernel budget, regardless of ``fabric_regions``
-    (the legacy partitioners never saw regions)."""
-    return (
-        cpu_device(platform.cpu_clock_mhz),
-        fabric_device(0, platform.capacity_gates,
-                      platform.device.max_clock_mhz,
-                      platform.device.bram_bytes),
-    )
-
-
-def make_placement(algorithm: str | PlacementPass, **kwargs) -> PlacementPass:
+def make_placement(algorithm: str | PlacementPass) -> PlacementPass:
     if isinstance(algorithm, PlacementPass):
         return algorithm
     try:
@@ -79,21 +65,15 @@ def make_placement(algorithm: str | PlacementPass, **kwargs) -> PlacementPass:
             f"unknown placement algorithm {algorithm!r} "
             f"(known: {sorted(PLACEMENTS)})"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
-def default_passes(
-    algorithm: str | PlacementPass = "90-10",
-    legacy: bool = False,
-) -> list[PartitionPass]:
+def default_passes(algorithm: str | PlacementPass = "90-10") -> list[PartitionPass]:
     """The standard pipeline: filter -> annotate -> place -> legalize ->
-    report.  ``legacy=True`` keeps every candidate through the filter stage
-    (the pre-refactor algorithms carried infeasible candidates and rejected
-    them at selection time; pruning would perturb e.g. the exhaustive
-    pool)."""
+    report."""
     placement = make_placement(algorithm)
     return [
-        FilterPass(FilterPass.KEEP_ALL) if legacy else FilterPass(),
+        FilterPass(),
         AnnotatePass(),
         placement,
         LegalizePass(),
@@ -119,8 +99,9 @@ def partition(
     """Partition over an explicit device list through the pass pipeline.
 
     *graph* is either a prebuilt :class:`PartitionGraph` or a candidate
-    list (then *platform* and *total_cycles* are required and the graph is
-    built here over *devices*, defaulting to ``platform.devices``).
+    list (then *platform* and *total_cycles* are required -- missing either
+    raises :class:`ValueError` -- and the graph is built here over
+    *devices*, defaulting to ``platform.devices``).
 
     *passes* is the full ordered pass list, or -- as a shorthand -- an
     algorithm name / placement pass to drop into the default pipeline.
@@ -133,10 +114,15 @@ def partition(
             raise ValueError(
                 "partition(candidates, ...) needs platform= to build a graph"
             )
+        if total_cycles is None:
+            # 0 would silently skip 90-10's hot-loop step
+            raise ValueError(
+                "partition(candidates, ...) needs total_cycles= to build a graph"
+            )
         graph = build_graph(
             graph, platform,
             devices=tuple(devices) if devices is not None else None,
-            total_cycles=total_cycles or 0,
+            total_cycles=total_cycles,
         )
     elif devices is not None and tuple(devices) != graph.devices:
         raise ValueError(

@@ -63,9 +63,9 @@ class CpuCostModel(CostModel):
 class FabricCostModel(CostModel):
     """Fine-grained FPGA fabric: the synthesized kernel as-is.
 
-    Identical arithmetic to the legacy estimator
-    (:func:`repro.partition.estimator.kernel_hw_seconds`), so the two-device
-    shim reproduces pre-refactor results bit-for-bit.
+    Identical arithmetic to the candidate estimate
+    (:func:`repro.partition.estimator.kernel_hw_seconds`), so on a fabric
+    device ``node.saved_on(device)`` equals ``candidate.saved_seconds``.
     """
 
     kind = FABRIC

@@ -95,9 +95,8 @@ class PartitionGraph:
     total_cycles: int
     nodes: list[PartitionNode] = field(default_factory=list)
     edges: list[PartitionEdge] = field(default_factory=list)
-    #: node indices in the order placement chose them -- the legacy
-    #: partitioners' selection order, preserved so the two-device shim's
-    #: ``PartitionResult.selected`` matches bit-for-bit
+    #: node indices in the order placement chose them; becomes
+    #: ``PartitionResult.selected`` (and its ``area_used`` summation order)
     placement_order: list[int] = field(default_factory=list)
 
     def place(self, index: int, device: DeviceSpec | str, step: int = 0) -> None:

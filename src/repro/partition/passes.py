@@ -6,19 +6,16 @@ A partitioning run is a compiler-style pipeline over the
     filter -> annotate -> <placement> -> legalize -> report
 
 Each pass is timed individually (``partition.pass_seconds`` histogram plus
-the per-pipeline ``pass_seconds`` dict on the report -- the legacy code
-recorded one ``perf_counter()`` delta for the whole partitioner, invisible
-to obs), wrapped in an obs span, and counted on
-``partition.pass_runs_total``.  Placement algorithms are just passes too
-(:mod:`repro.partition.placement`); anything that mutates the graph can be
-inserted into the list.
+the per-pipeline ``pass_seconds`` dict on the report), wrapped in an obs
+span, and counted on ``partition.pass_runs_total``.  Placement algorithms
+are just passes too (:mod:`repro.partition.placement`); anything that
+mutates the graph can be inserted into the list.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro import obs
 from repro.partition import legalize as _legalize
@@ -42,21 +39,15 @@ class PartitionPass:
 class FilterPass(PartitionPass):
     """Prune candidates no hardware device could ever hold.
 
-    The default predicate keeps a node if its raw kernel area fits at
-    least one non-CPU device; pass ``predicate=None`` (keep everything)
-    to reproduce the legacy algorithms, which carried infeasible
-    candidates through and rejected them at selection time.
+    A node is kept if its cost-model area fits at least one non-CPU
+    device.  Pruning pays beyond speed: annealing spends moves and
+    penalty on kernels that can never be placed, and on ``jpegdct`` at
+    -O1 on the soft core the unpruned annealer keeps nothing where the
+    pruned one selects three kernels
+    (``tests/partition/test_reference_differential.py``).
     """
 
     name = "filter"
-
-    KEEP_ALL = staticmethod(lambda graph, node: True)
-
-    def __init__(
-        self,
-        predicate: Callable[[PartitionGraph, PartitionNode], bool] | None = None,
-    ):
-        self.predicate = predicate or self._fits_somewhere
 
     @staticmethod
     def _fits_somewhere(graph: PartitionGraph, node: PartitionNode) -> bool:
@@ -71,7 +62,7 @@ class FilterPass(PartitionPass):
     def run(self, graph: PartitionGraph) -> None:
         pruned = 0
         for node in graph.nodes:
-            if not self.predicate(graph, node):
+            if not self._fits_somewhere(graph, node):
                 node.pruned = True
                 pruned += 1
         if pruned:
@@ -96,8 +87,8 @@ class LegalizePass(PartitionPass):
 
     The one shared budget/overlap check every placement algorithm runs
     through (previously three divergent copies).  Feasible placements pass
-    through untouched; infeasible ones are repaired by the legacy policy
-    (keep by descending saved seconds, drop the rest to software).
+    through untouched; infeasible ones are repaired (keep by descending
+    saved seconds, drop the rest to software).
     """
 
     name = "legalize"

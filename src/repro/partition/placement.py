@@ -7,12 +7,11 @@ instead of one hard-coded FPGA budget.  Placement targets are tried in
 device-declaration order; a node goes to the hardware device that saves
 the most time and still has room, or stays on the CPU.
 
-Bit-identity contract: with a single fabric device (the legacy two-device
-platform), each pass reproduces its pre-refactor partitioner's decisions
-exactly -- same selection order, same float arithmetic, and for annealing
-the same random stream.  The differential suite in
-``tests/partition/test_legacy_shim.py`` holds every algorithm to this over
-all 20 benchmarks on hard and soft platforms.
+With a single fabric device each pass makes the same decisions as the
+pre-pipeline partitioners did on the candidates that fit the fabric: the
+differential suite in ``tests/partition/test_reference_differential.py``
+compares all five algorithms with a frozen copy of that code over every
+recoverable benchmark on hard and soft platforms.
 """
 
 from __future__ import annotations
@@ -137,18 +136,17 @@ class GreedyPlacement(PlacementPass):
 class ExhaustivePlacement(PlacementPass):
     """Optimal assignment by estimated time saved (reference, small n).
 
-    With one hardware device this is the legacy subset enumeration over the
-    top ``max_candidates`` savers; with D devices the pool shrinks so the
+    Enumerates every CPU-or-device assignment of the top
+    ``MAX_CANDIDATES`` savers; with D devices the pool shrinks so the
     (D+1)^n assignment space stays within the same ~2^16 evaluations.
     """
 
     algorithm = "exhaustive"
 
-    def __init__(self, max_candidates: int = 14):
-        self.max_candidates = max_candidates
+    MAX_CANDIDATES = 14
 
     def _pool(self, graph: PartitionGraph, width: int) -> list[int]:
-        limit = self.max_candidates
+        limit = self.MAX_CANDIDATES
         if width > 2:
             limit = min(limit, max(1, int(16 / math.log2(width))))
         return sorted(
@@ -161,39 +159,6 @@ class ExhaustivePlacement(PlacementPass):
         pool = self._pool(graph, len(devices) + 1)
         if not pool:
             return
-        if len(devices) == 1:
-            self._run_single(graph, pool, devices[0])
-            return
-        self._run_multi(graph, pool, devices)
-
-    def _run_single(
-        self, graph: PartitionGraph, pool: list[int], device: DeviceSpec
-    ) -> None:
-        """The legacy subset enumeration, bit-for-bit (mask order included:
-        ties between equal-saved subsets resolve to the first mask found)."""
-        from repro.partition.legalize import selection_feasible
-
-        budget = device.capacity_gates
-        nodes = [graph.nodes[i] for i in pool]
-        best_slots: list[int] = []
-        best_saved = 0.0
-        for mask in range(1 << len(pool)):
-            slots = [i for i in range(len(pool)) if mask >> i & 1]
-            selection = [nodes[i].candidate for i in slots]
-            if not selection_feasible(selection, budget):
-                continue
-            saved = sum(c.saved_seconds for c in selection)
-            if saved > best_saved:
-                best_saved = saved
-                best_slots = slots
-        used = self._fresh_usage(graph)
-        for slot in best_slots:
-            self._place(graph, pool[slot], device, used)
-
-    def _run_multi(
-        self, graph: PartitionGraph, pool: list[int],
-        devices: tuple[DeviceSpec, ...],
-    ) -> None:
         best_assign: tuple[int, ...] | None = None
         best_saved = 0.0
         capacity = [d.capacity_gates for d in devices]
@@ -232,11 +197,10 @@ class NinetyTenPlacement(PlacementPass):
 
     algorithm = "90-10"
 
-    def __init__(self, options: NinetyTenOptions | None = None):
-        self.options = options or NinetyTenOptions()
+    OPTIONS = NinetyTenOptions()
 
     def run(self, graph: PartitionGraph) -> None:
-        options = self.options
+        options = self.OPTIONS
         used = self._fresh_usage(graph)
         ranked = sorted(
             self._eligible(graph),
@@ -378,14 +342,15 @@ class AnnealingPlacement(PlacementPass):
 
     May end infeasible -- the legalize pass repairs it (the repair policy
     that used to live inside this algorithm, now shared by all of them).
-    The single-device path replays the legacy random stream exactly.
+    With one hardware device a move just flips a node between CPU and
+    fabric (no second draw), so the random stream is the pre-pipeline
+    single-budget annealer's.
     """
 
     algorithm = "annealing"
 
-    def __init__(self, iterations: int = 4000, seed: int = 12345):
-        self.iterations = iterations
-        self.seed = seed
+    ITERATIONS = 4000
+    SEED = 12345
 
     def run(self, graph: PartitionGraph) -> None:
         pool = [
@@ -394,59 +359,7 @@ class AnnealingPlacement(PlacementPass):
         ]
         if not pool:
             return
-        if len(graph.hw_devices) == 1:
-            self._run_single(graph, pool)
-        else:
-            self._run_multi(graph, pool)
-
-    def _run_single(self, graph: PartitionGraph, pool: list[int]) -> None:
-        """The legacy single-budget loop, bit-for-bit (same rng stream)."""
-        rng = random.Random(self.seed)
-        device = graph.hw_devices[0]
-        budget = device.capacity_gates
-        nodes = [graph.nodes[i] for i in pool]
-        baseline = graph.platform.cpu_seconds(graph.total_cycles)
-
-        def cost(bits: list[bool]) -> float:
-            selection = [n.candidate for n, bit in zip(nodes, bits) if bit]
-            area = sum(c.area for c in selection)
-            saved = sum(c.saved_seconds for c in selection)
-            penalty = 0.0
-            if area > budget:
-                penalty += (area - budget) / budget
-            for a, b in itertools.combinations(selection, 2):
-                if a.overlaps(b):
-                    penalty += 1.0
-            return (baseline - saved) / baseline + penalty
-
-        bits = [False] * len(pool)
-        best_bits = list(bits)
-        current = cost(bits)
-        best = current
-        temperature = 1.0
-        for _step in range(self.iterations):
-            index = rng.randrange(len(pool))
-            bits[index] = not bits[index]
-            candidate_cost = cost(bits)
-            delta = candidate_cost - current
-            if delta <= 0 or rng.random() < pow(
-                2.718281828, -delta / max(temperature, 1e-9)
-            ):
-                current = candidate_cost
-                if current < best:
-                    best = current
-                    best_bits = list(bits)
-            else:
-                bits[index] = not bits[index]
-            temperature *= 0.999
-
-        used = self._fresh_usage(graph)
-        for slot, bit in enumerate(best_bits):
-            if bit:
-                self._place(graph, pool[slot], device, used)
-
-    def _run_multi(self, graph: PartitionGraph, pool: list[int]) -> None:
-        rng = random.Random(self.seed)
+        rng = random.Random(self.SEED)
         devices = graph.hw_devices
         nodes = [graph.nodes[i] for i in pool]
         baseline = graph.platform.cpu_seconds(graph.total_cycles)
@@ -478,10 +391,10 @@ class AnnealingPlacement(PlacementPass):
         current = cost(assign)
         best = current
         temperature = 1.0
-        for _step in range(self.iterations):
+        for _step in range(self.ITERATIONS):
             index = rng.randrange(len(pool))
             previous = assign[index]
-            proposal = rng.randrange(len(devices) + 1) - 1
+            proposal = rng.randrange(len(devices) + 1) - 1 if len(devices) > 1 else 0
             assign[index] = -1 if proposal == previous else proposal
             candidate_cost = cost(assign)
             delta = candidate_cost - current

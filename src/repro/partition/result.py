@@ -1,8 +1,7 @@
-"""The partitioning result type, shared by every algorithm and the shims.
+"""The partitioning result type, shared by every placement algorithm.
 
-Historically defined in :mod:`repro.partition.ninety_ten` (which still
-re-exports it); it moved here so the pass pipeline, the baselines and the
-90-10 shim can all build one without import cycles.
+It lives in its own module so the pass pipeline, the flow and the metrics
+code can all build or read one without import cycles.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ class PartitionResult:
     #: which step chose each kernel (1 = hot loops, 2 = alias coupling,
     #: 3 = greedy fill), by candidate name
     step_of: dict[str, int] = field(default_factory=dict)
-    #: node -> device-name map covering *every* candidate ("cpu" = software);
-    #: empty when produced by a pre-pipeline code path
+    #: node -> device-name map covering *every* candidate ("cpu" = software)
     placements: dict[str, str] = field(default_factory=dict)
-    #: wall-clock seconds of each pipeline pass, in run order (the legacy
-    #: one-delta-per-partitioner timing split out per pass)
+    #: wall-clock seconds of each pipeline pass, in run order
     pass_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -41,11 +38,11 @@ def result_from_graph(
     graph: "PartitionGraph", algorithm: str, seconds: float,
     pass_seconds: dict[str, float] | None = None,
 ) -> PartitionResult:
-    """Fold a placed graph into the legacy result shape.
+    """Fold a placed graph into a :class:`PartitionResult`.
 
-    ``selected`` keeps the placement order the algorithm chose (the legacy
-    partitioners' selection order), and ``area_used`` is summed in that
-    order so the float bits match the legacy accumulation exactly.
+    ``selected`` keeps the placement order the algorithm chose, and
+    ``area_used`` is summed in that order, so the float bits match an
+    accumulation done while selecting.
     """
     placed = [graph.nodes[i] for i in graph.placement_order]
     result = PartitionResult(

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.partition.api import (
-    PartitionOutcome,
-    default_passes,
-    legacy_devices,
-    partition,
-)
+from repro.partition.api import PartitionOutcome, partition
 from repro.partition.costmodels import cost_model_for
 from repro.partition.graph import ALIAS, OVERLAP, build_graph
 from repro.partition.passes import (
@@ -41,9 +36,9 @@ def _aliased_candidates():
 
     rng = random.Random(42)
     func = _StubFunction("f")
-    a = _candidate(rng, 0, [func])
-    b = _candidate(rng, 1, [func])
-    c = _candidate(rng, 2, [func])
+    a = _candidate(rng, 0, [func], MIPS_200MHZ)
+    b = _candidate(rng, 1, [func], MIPS_200MHZ)
+    c = _candidate(rng, 2, [func], MIPS_200MHZ)
     # force overlap between a and b, disjoint c
     b.profile.block_starts = list(a.profile.block_starts)
     c.profile.block_starts = [0x500000]
@@ -134,7 +129,7 @@ class TestPassManager:
     def test_obs_counters_and_histogram(self, telemetry):
         candidates = _random_candidates(5, 6)
         outcome = partition(
-            candidates, legacy_devices(MIPS_200MHZ),
+            candidates, MIPS_200MHZ.devices,
             platform=MIPS_200MHZ, total_cycles=1_000_000, passes="greedy",
         )
         assert isinstance(outcome, PartitionOutcome)
@@ -152,7 +147,6 @@ class TestPassManager:
         graph = build_graph(candidates, MIPS_200MHZ, devices=devices)
         FilterPass().run(graph)
         assert all(node.pruned for node in graph.nodes)
-        FilterPass(FilterPass.KEEP_ALL)  # legacy predicate stays available
 
 
 class TestApi:
@@ -174,6 +168,18 @@ class TestApi:
     def test_candidates_require_platform(self):
         with pytest.raises(ValueError, match="platform"):
             partition([], passes="greedy")
+
+    def test_candidates_require_total_cycles(self):
+        # a silent 0 would make 90-10 skip its hot-loop step
+        with pytest.raises(ValueError, match="total_cycles"):
+            partition(_random_candidates(4, 3), platform=MIPS_200MHZ)
+
+    def test_prebuilt_graph_needs_no_total_cycles(self):
+        graph = build_graph(
+            _random_candidates(4, 3), MIPS_200MHZ, total_cycles=1_000_000
+        )
+        outcome = partition(graph, passes="greedy")
+        assert outcome.graph.total_cycles == 1_000_000
 
     def test_device_mismatch_rejected(self):
         graph = build_graph([], MIPS_200MHZ)

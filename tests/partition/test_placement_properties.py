@@ -1,4 +1,4 @@
-"""Property tests for N-device placement (ISSUE 10 satellite 3).
+"""Property tests for N-device placement.
 
 Seeded random candidate sets drive every placement algorithm over
 multi-device platforms (CPU + 2-3 fabric regions, optionally a CGRA slot),
@@ -121,7 +121,7 @@ def test_legalize_repairs_infeasible_placement(seed):
     )
     graph = build_graph(candidates, platform, devices=devices,
                         total_cycles=1_000_000)
-    for pipeline_pass in default_passes("greedy", legacy=True)[:2]:
+    for pipeline_pass in default_passes("greedy")[:2]:
         pipeline_pass.run(graph)  # filter + annotate
     for index in range(len(graph.nodes)):
         graph.place(index, devices[1])
@@ -146,7 +146,7 @@ def test_repair_prefers_higher_savings():
     )
     graph = build_graph(candidates, platform, devices=devices,
                         total_cycles=1_000_000)
-    for pipeline_pass in default_passes("greedy", legacy=True)[:2]:
+    for pipeline_pass in default_passes("greedy")[:2]:
         pipeline_pass.run(graph)
     for index in range(len(graph.nodes)):
         graph.place(index, devices[1])
