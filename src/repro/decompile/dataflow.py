@@ -32,28 +32,42 @@ def block_use_def(block: MicroBlock) -> tuple[set[Loc], set[Loc]]:
 
 
 def liveness(cfg: ControlFlowGraph) -> tuple[list[set[Loc]], list[set[Loc]]]:
-    """Iterative backward liveness; returns (live_in, live_out) per block."""
+    """Backward liveness; returns (live_in, live_out) per block."""
+    return solve_liveness(cfg, [block_use_def(block) for block in cfg.blocks])
+
+
+def solve_liveness(
+    cfg: ControlFlowGraph, use_defs: list[tuple[set[Loc], set[Loc]]]
+) -> tuple[list[set[Loc]], list[set[Loc]]]:
+    """Liveness from each block's :func:`block_use_def` summary.
+
+    A worklist over predecessors (derived from ``succs`` here, so stale
+    ``preds`` lists cannot mislead it); the sets only grow from empty, so
+    it reaches the least fixpoint in any visiting order.
+    """
     count = len(cfg.blocks)
-    gen: list[set[Loc]] = []
-    kill: list[set[Loc]] = []
+    preds: list[list[int]] = [[] for _ in range(count)]
     for block in cfg.blocks:
-        uses, defs = block_use_def(block)
-        gen.append(uses)
-        kill.append(defs)
+        for succ in block.succs:
+            preds[succ].append(block.index)
     live_in: list[set[Loc]] = [set() for _ in range(count)]
     live_out: list[set[Loc]] = [set() for _ in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(count - 1, -1, -1):
-            out: set[Loc] = set()
-            for succ in cfg.blocks[index].succs:
-                out |= live_in[succ]
-            new_in = gen[index] | (out - kill[index])
-            if out != live_out[index] or new_in != live_in[index]:
-                live_out[index] = out
-                live_in[index] = new_in
-                changed = True
+    work = list(range(count))  # popped from the end: exits first
+    queued = [True] * count
+    while work:
+        index = work.pop()
+        queued[index] = False
+        out = live_out[index]
+        for succ in cfg.blocks[index].succs:
+            out |= live_in[succ]
+        uses, defs = use_defs[index]
+        new_in = uses | (out - defs)
+        if len(new_in) != len(live_in[index]):  # it can only grow
+            live_in[index] = new_in
+            for pred in preds[index]:
+                if not queued[pred]:
+                    queued[pred] = True
+                    work.append(pred)
     return live_in, live_out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.binary.image import Executable
 from repro.errors import DecompilationError, IndirectJumpError
 from repro.decompile.alias import Footprint, loop_footprint
@@ -181,41 +182,61 @@ class Decompiler:
         )
         prune_unreachable(cfg)
         options = self.options
+        # True while the CFG is known to be a fixpoint of one cleanup
+        # round: the last round ran changed nothing, and no pass since has
+        # touched an op.  Running the round again would change nothing and
+        # count nothing, so the next cleanup is skipped.
+        converged = False
 
         def cleanup_round() -> None:
+            nonlocal converged
+            if converged:
+                obs.counter("decompile.cleanup_rounds_skipped_total").inc()
+                return
             for _ in range(options.rounds):
-                changed = 0
+                changed = 0  # what the pass statistics count
+                touched = False  # whether any op or edge actually changed
                 if options.constant_propagation:
-                    cp = propagate_constants(cfg)
+                    cp = _run_pass("constant_propagation", propagate_constants, cfg)
                     stats.moves_recovered += cp.moves_recovered
                     stats.constants_folded += cp.ops_folded
                     changed += cp.total
+                    touched = cp.ops_rewritten > 0
                 if options.copy_propagation:
-                    changed += propagate_copies(cfg)
+                    substituted = _run_pass("copy_propagation", propagate_copies, cfg)
+                    changed += substituted
+                    touched = touched or substituted > 0
                 if options.dead_code_elimination:
-                    removed = eliminate_dead_code(cfg)
+                    removed = _run_pass("dead_code_elimination", eliminate_dead_code, cfg)
                     stats.dead_ops_removed += removed
                     changed += removed
-                prune_unreachable(cfg)
+                    touched = touched or removed > 0
+                touched = prune_unreachable(cfg) or touched
                 if not changed:
                     break
+            converged = not touched
 
         cleanup_round()
         if options.stack_removal:
-            sr = remove_stack_operations(cfg)
+            sr = _run_pass("stack_removal", remove_stack_operations, cfg)
             stats.stack_ops_removed += sr.total
+            converged = converged and not sr.total
             cleanup_round()
         if options.strength_promotion:
-            promo = promote_strength(cfg)
+            promo = _run_pass("strength_promotion", promote_strength, cfg)
             stats.muls_promoted += promo.muls_recovered
+            converged = converged and not promo.muls_recovered
             cleanup_round()
         if options.loop_rerolling:
-            rr = reroll_loops(cfg)
+            rr = _run_pass("loop_rerolling", reroll_loops, cfg)
             stats.loops_rerolled += rr.loops_rerolled
             stats.reroll_ops_removed += rr.ops_removed
+            # not the statistics: rotation canonicalization rewrites latches
+            # also when no loop rerolls
+            converged = converged and not rr.changed
             cleanup_round()
         if options.size_reduction:
-            sz = reduce_operator_sizes(cfg)
+            sz = _run_pass("size_reduction", reduce_operator_sizes, cfg)
             stats.ops_narrowed += sz.ops_narrowed
             stats.bits_saved += sz.bits_saved
 
@@ -235,6 +256,17 @@ class Decompiler:
             loop_footprints=footprints,
             stats=stats,
         )
+
+
+def _run_pass(name: str, pass_fn, cfg: ControlFlowGraph):
+    """Run one pass, as a ``decompile.pass.<name>`` span and run count when
+    telemetry is on (and as a plain call when it is off)."""
+    if not (obs.metrics_enabled() or obs.tracing_enabled()):
+        return pass_fn(cfg)
+    with obs.span(f"decompile.pass.{name}", function=cfg.name):
+        result = pass_fn(cfg)
+    obs.counter(f"decompile.pass.{name}.runs_total").inc()
+    return result
 
 
 def decompile(

@@ -25,14 +25,30 @@ from enum import Enum
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Loc:
-    """A storage location (register, HI/LO, or virtual slot)."""
+class Loc(str):
+    """A storage location (register, HI/LO, or virtual slot).
 
-    name: str
+    Every pass keys dicts and sets by location, so a location is its own
+    name: a ``str`` whose hash CPython computes once and caches.  Each name
+    has exactly one ``Loc`` object (``Loc("R4") is Loc("R4")``), also
+    after unpickling in another process.
+    """
 
-    def __str__(self) -> str:
-        return self.name
+    _interned: dict[str, "Loc"] = {}
+
+    def __new__(cls, name: str) -> "Loc":
+        loc = cls._interned.get(name)
+        if loc is None:
+            loc = super().__new__(cls, name)
+            loc.name = str(name)
+            cls._interned[loc.name] = loc
+        return loc
+
+    def __reduce__(self):
+        return Loc, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"Loc(name={self.name!r})"
 
 
 REGS: tuple[Loc, ...] = tuple(Loc(f"R{i}") for i in range(32))
@@ -84,6 +100,11 @@ Operand = Loc | Imm
 class Opcode(Enum):
     """ISA-independent operation kinds."""
 
+    # members are singletons compared by identity; the C-level identity
+    # hash keeps opcode set lookups (``op.opcode in ALU_OPS``) off the
+    # Python-level ``Enum.__hash__``
+    __hash__ = object.__hash__
+
     CONST = "const"      # dst = imm32
     MOVE = "move"        # dst = a
     ADD = "add"
@@ -128,6 +149,12 @@ COMMUTATIVE = frozenset(
     {Opcode.ADD, Opcode.MUL, Opcode.MULHI, Opcode.MULHIU,
      Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOR}
 )
+
+#: locations calls and returns read besides their operands
+_IMPLICIT_USES = {
+    Opcode.CALL: (*ARG_LOCS, SP),
+    Opcode.RETURN: (V0, V1, SP, RA, *CALL_PRESERVED),
+}
 
 #: branch condition names (operate on two operands)
 BRANCH_CONDS = ("eq", "ne", "lt", "le", "gt", "ge", "ltu", "leu", "gtu", "geu")
@@ -182,28 +209,19 @@ class MicroOp:
 
     # -- dataflow interface ------------------------------------------------
 
-    def defs(self) -> list[Loc]:
+    def defs(self) -> tuple[Loc, ...]:
         if self.dst is not None:
-            return [self.dst]
+            return (self.dst,)
         if self.opcode is Opcode.CALL:
-            return list(CALL_CLOBBERED)
-        return []
+            return CALL_CLOBBERED
+        return ()
 
-    def uses(self) -> list[Loc]:
-        out: list[Loc] = []
-        if isinstance(self.a, Loc):
-            out.append(self.a)
-        if isinstance(self.b, Loc):
-            out.append(self.b)
-        if self.opcode is Opcode.CALL:
-            out.extend(ARG_LOCS)
-            out.append(SP)
-        elif self.opcode is Opcode.RETURN:
-            out.extend((V0, V1, SP, RA))
-            out.extend(CALL_PRESERVED)
-        elif self.opcode is Opcode.IJUMP:
-            pass  # a already included
-        return out
+    def uses(self) -> tuple[Loc, ...]:
+        implicit = _IMPLICIT_USES.get(self.opcode, ())
+        a, b = self.a, self.b
+        if isinstance(a, Loc):
+            return (a, b, *implicit) if isinstance(b, Loc) else (a, *implicit)
+        return (b, *implicit) if isinstance(b, Loc) else implicit
 
     def is_terminator(self) -> bool:
         return self.opcode in (

@@ -30,6 +30,7 @@ main+remainder (checked end-to-end by the CDFG interpreter tests).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
@@ -177,137 +178,159 @@ def _symbolic_exec(ops: list[MicroOp]) -> _Transfer:
 # induction variable becomes a single name.
 
 
-def _canonicalize_rotations(ops: list[MicroOp], live_out_names: set[str]) -> list[MicroOp]:
-    ops = list(ops)
+def _canonicalize_rotations(
+    ops: list[MicroOp], live_out_names: set[str]
+) -> tuple[list[MicroOp], int]:
+    """Apply the two rewrites until neither applies (or a budget runs out);
+    returns the rewritten ops and the number of rewrites.
+
+    Each round applies the first rewrite found scanning from the end, then
+    rescans.  A dropped move leaves a ``None`` hole until the end, so op
+    positions -- and the position index kept in step with each rename --
+    stay valid across rounds.
+    """
+    ops: list[MicroOp | None] = list(ops)
+    index = _Positions(ops)
+    rewrites = 0
     budget = 4 * len(ops) + 16
     changed = True
     while changed and budget > 0:
         changed = False
         budget -= 1
-        defs, uses = _positions(ops)
         # rule 1: copy collapse (scan from the end)
         for p in range(len(ops) - 1, -1, -1):
             op = ops[p]
-            if op.opcode is not Opcode.MOVE or not isinstance(op.a, Loc):
+            if op is None or op.opcode is not Opcode.MOVE or not isinstance(op.a, Loc):
                 continue
             dst, src = op.dst, op.a
             if dst == src or src == ZERO:
                 continue
-            if not _value_dead_after(src.name, p, defs, uses, live_out_names):
+            if not index.value_dead_after(src.name, p, live_out_names):
                 continue
-            src_defs = [d for d in defs.get(src.name, []) if d < p]
-            if not src_defs:
+            q = index.last_def_before(src.name, p)
+            if q is None or ops[q].dst != src:
+                continue  # none, or an implicit def (a CALL clobber): not renamable
+            if index.accessed_between(dst.name, q + 1, p):
                 continue
-            q = max(src_defs)
-            if ops[q].dst != src:
-                continue  # implicit def (e.g. a CALL clobber): not renamable
-            if _accessed_between(ops, dst, q + 1, p):
-                continue
-            if any(d > q and d < p for d in defs.get(src.name, [])):
-                continue
-            _rename(ops, src, dst, q, p)
-            del ops[p]
+            index.rename(src, dst, q, p)
+            index.drop(p)
+            ops[p] = None
             changed = True
             break
-        if changed:
-            continue
-        # rule 2: operand threading
-        for q in range(len(ops) - 1, -1, -1):
-            op = ops[q]
-            if op.opcode not in ALU_OPS or op.dst is None:
-                continue
-            dst = op.dst
-            if dst in (op.a, op.b):
-                # the op reads its own destination: renaming any other
-                # operand to dst would clobber that read
-                continue
-            for operand in (op.a, op.b):
-                if not isinstance(operand, Loc) or operand in (dst, ZERO):
+        if not changed:
+            # rule 2: operand threading
+            for q in range(len(ops) - 1, -1, -1):
+                op = ops[q]
+                if op is None or op.opcode not in ALU_OPS or op.dst is None:
                     continue
-                if operand.name.startswith("S") != dst.name.startswith("S"):
-                    pass  # mixing frames is fine; names are just locations
-                if not _value_dead_after(operand.name, q, defs, uses, live_out_names):
+                dst = op.dst
+                if dst in (op.a, op.b):
+                    # the op reads its own destination: renaming any other
+                    # operand to dst would clobber that read
                     continue
-                op_defs = [d for d in defs.get(operand.name, []) if d < q]
-                if not op_defs:
-                    continue
-                qd = max(op_defs)
-                if ops[qd].dst != operand:
-                    continue  # implicit def (e.g. a CALL clobber): not renamable
-                if _accessed_between(ops, dst, qd + 1, q):
-                    continue
-                if any(d > qd and d < q for d in defs.get(operand.name, [])):
-                    continue
-                _rename(ops, operand, dst, qd, q + 1)
-                changed = True
-                break
-            if changed:
-                break
-    return ops
+                for operand in (op.a, op.b):
+                    if not isinstance(operand, Loc) or operand in (dst, ZERO):
+                        continue
+                    if not index.value_dead_after(operand.name, q, live_out_names):
+                        continue
+                    qd = index.last_def_before(operand.name, q)
+                    if qd is None or ops[qd].dst != operand:
+                        continue  # none, or an implicit def: not renamable
+                    if index.accessed_between(dst.name, qd + 1, q):
+                        continue
+                    index.rename(operand, dst, qd, q + 1)
+                    changed = True
+                    break
+                if changed:
+                    break
+        rewrites += changed
+    return [op for op in ops if op is not None], rewrites
 
 
-def _value_dead_after(
-    name: str,
-    pos: int,
-    defs: dict[str, list[int]],
-    uses: dict[str, list[int]],
-    live_out_names: set[str],
-) -> bool:
-    """Is the value of *name* defined at/before *pos* dead after *pos*?
+class _Positions:
+    """Where each location name is defined and used in an op list.
 
-    The value dies at the next redefinition; uses up to and including the
-    redefining op (which may read the old value) count as consumers.
+    Sorted position lists per name, so the liveness questions the rewrites
+    ask are binary searches.  ``rename`` renames ops in place (see below)
+    and moves exactly the positions it affects.
     """
-    later_defs = [d for d in defs.get(name, []) if d > pos]
-    horizon = min(later_defs) if later_defs else None
-    for use in uses.get(name, []):
-        if use <= pos:
-            continue
-        if horizon is None or use <= horizon:
+
+    def __init__(self, ops: list[MicroOp | None]):
+        self.ops = ops
+        self.defs: dict[str, list[int]] = {}
+        self.uses: dict[str, list[int]] = {}
+        for pos, op in enumerate(ops):
+            self._add(pos, op)
+
+    def _names(self, op: MicroOp) -> tuple[set[str], set[str]]:
+        return {loc.name for loc in op.defs()}, {loc.name for loc in op.uses()}
+
+    def _add(self, pos: int, op: MicroOp) -> None:
+        defs, uses = self._names(op)
+        for name in defs:
+            insort(self.defs.setdefault(name, []), pos)
+        for name in uses:
+            insort(self.uses.setdefault(name, []), pos)
+
+    def drop(self, pos: int) -> None:
+        defs, uses = self._names(self.ops[pos])
+        for name in defs:
+            self.defs[name].remove(pos)
+        for name in uses:
+            self.uses[name].remove(pos)
+
+    def value_dead_after(self, name: str, pos: int, live_out_names: set[str]) -> bool:
+        """Is the value of *name* defined at/before *pos* dead after *pos*?
+
+        The value dies at the next redefinition; uses up to and including
+        the redefining op (which may read the old value) count as consumers.
+        """
+        defs = self.defs.get(name, ())
+        at = bisect_right(defs, pos)
+        horizon = defs[at] if at < len(defs) else None
+        uses = self.uses.get(name, ())
+        at = bisect_right(uses, pos)
+        if at < len(uses) and (horizon is None or uses[at] <= horizon):
             return False
-    if horizon is None and name in live_out_names:
+        return not (horizon is None and name in live_out_names)
+
+    def last_def_before(self, name: str, pos: int) -> int | None:
+        defs = self.defs.get(name, ())
+        at = bisect_left(defs, pos)
+        return defs[at - 1] if at else None
+
+    def accessed_between(self, name: str, start: int, end: int) -> bool:
+        """Is *name* defined or used at a position in [start, end)?"""
+        for positions in (self.defs.get(name, ()), self.uses.get(name, ())):
+            at = bisect_left(positions, start)
+            if at < len(positions) and positions[at] < end:
+                return True
         return False
-    return True
 
+    def rename(self, old: Loc, new: Loc, start: int, end: int) -> None:
+        """Rename the value defined at *start* from *old* to *new*.
 
-def _positions(ops: list[MicroOp]) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    defs: dict[str, list[int]] = {}
-    uses: dict[str, list[int]] = {}
-    for pos, op in enumerate(ops):
-        for loc in op.uses():
-            uses.setdefault(loc.name, []).append(pos)
-        for loc in op.defs():
-            defs.setdefault(loc.name, []).append(pos)
-    return defs, uses
-
-
-def _accessed_between(ops: list[MicroOp], loc: Loc, start: int, end: int) -> bool:
-    for pos in range(start, end):
-        op = ops[pos]
-        if loc in op.uses() or loc in op.defs():
-            return True
-    return False
-
-
-def _rename(ops: list[MicroOp], old: Loc, new: Loc, start: int, end: int) -> None:
-    """Rename the value defined at *start* from *old* to *new*.
-
-    At the defining position only the destination is renamed -- source
-    operands there still refer to the *previous* value of ``old`` (consider
-    ``r = load [r]``: the base is the old value).  Later positions rename
-    uses, whose reaching definition is the renamed one.
-    """
-    op = ops[start]
-    if op.dst == old:
-        op.dst = new
-    for pos in range(start + 1, end):
-        op = ops[pos]
-        if op.dst == old:
-            op.dst = new
-        if op.a == old:
-            op.a = new
-        if op.b == old:
-            op.b = new
+        At the defining position only the destination is renamed -- source
+        operands there still refer to the *previous* value of ``old``
+        (consider ``r = load [r]``: the base is the old value).  Later
+        positions rename uses, whose reaching definition is the renamed one.
+        """
+        for pos in range(start, end):
+            op = self.ops[pos]
+            if op is None:
+                continue
+            renames_source = pos > start and (op.a == old or op.b == old)
+            if op.dst != old and not renames_source:
+                continue
+            self.drop(pos)
+            if op.dst == old:
+                op.dst = new
+            if renames_source:
+                if op.a == old:
+                    op.a = new
+                if op.b == old:
+                    op.b = new
+            self._add(pos, op)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +344,14 @@ class RerollStats:
     ops_removed: int = 0
     #: header address -> unroll factor recovered
     factors: dict[int, int] = field(default_factory=dict)
+    #: renames and copy collapses written back into latches, also those of
+    #: loops that did not reroll
+    rotations_canonicalized: int = 0
+
+    @property
+    def changed(self) -> bool:
+        """Whether the pass rewrote any op."""
+        return bool(self.loops_rerolled or self.rotations_canonicalized)
 
 
 def reroll_loops(cfg: ControlFlowGraph) -> RerollStats:
@@ -337,7 +368,9 @@ def reroll_loops(cfg: ControlFlowGraph) -> RerollStats:
         header = cfg.blocks[loop.header]
         latch_index = next(iter(loop.body - {loop.header}))
         latch = cfg.blocks[latch_index]
-        result = _try_reroll(cfg, loop.header, header, latch, live_out, headers, loops)
+        result = _try_reroll(
+            cfg, loop.header, header, latch, live_out, headers, loops, stats
+        )
         if result is not None:
             removed, factor = result
             stats.loops_rerolled += 1
@@ -355,6 +388,7 @@ def _try_reroll(
     live_out,
     headers: set[int],
     loops,
+    stats: RerollStats,
 ) -> tuple[int, int] | None:
     term = latch.terminator
     if term is None or term.opcode is not Opcode.JUMP or term.target != header.start:
@@ -364,7 +398,8 @@ def _try_reroll(
         return None
     # normalize rotating register chains so increments become self-updates
     live_out_names = {loc.name for loc in live_out[latch.index]}
-    body_ops = _canonicalize_rotations(latch.ops[:-1], live_out_names)
+    body_ops, rewrites = _canonicalize_rotations(latch.ops[:-1], live_out_names)
+    stats.rotations_canonicalized += rewrites
     latch.ops = body_ops + [term]
 
     # 1. find the induction increments and split into segments
@@ -400,7 +435,8 @@ def _try_reroll(
     if rem_term is None or rem_term.opcode is not Opcode.JUMP:
         return None
     rem_live_names = {loc.name for loc in live_out[rem_latch.index]}
-    rem_ops = _canonicalize_rotations(rem_latch.ops[:-1], rem_live_names)
+    rem_ops, rewrites = _canonicalize_rotations(rem_latch.ops[:-1], rem_live_names)
+    stats.rotations_canonicalized += rewrites
     rem_latch.ops = rem_ops + [rem_term]
     rem_transfer = _symbolic_exec(rem_latch.ops[:-1])
     if not rem_transfer.ok:

@@ -42,12 +42,13 @@ def result_from_graph(
 
     ``selected`` keeps the placement order the algorithm chose, and
     ``area_used`` is summed in that order, so the float bits match an
-    accumulation done while selecting.
+    accumulation done while selecting; it starts from ``0.0``, so an empty
+    selection also has a float area.
     """
     placed = [graph.nodes[i] for i in graph.placement_order]
     result = PartitionResult(
         selected=[node.candidate for node in placed],
-        area_used=sum(node.area_on(node.device) for node in placed),
+        area_used=sum((node.area_on(node.device) for node in placed), 0.0),
         area_budget=sum(d.capacity_gates for d in graph.hw_devices),
         partitioning_seconds=seconds,
         algorithm=algorithm,

@@ -1,11 +1,13 @@
 """Lifting tests: MIPS instructions -> ISA-independent micro-ops."""
 
+import pickle
+
 import pytest
 
 from repro.errors import DecompilationError
 from repro.isa import Instruction
 from repro.decompile.lift import lift_instruction
-from repro.decompile.microop import HI, Imm, LO, Opcode, REGS
+from repro.decompile.microop import HI, Imm, LO, Loc, Opcode, REGS, slot_loc
 
 
 class TestAluLift:
@@ -122,3 +124,22 @@ class TestCallContract:
     def test_syscall_rejected(self):
         with pytest.raises(DecompilationError):
             lift_instruction(Instruction("syscall"), pc=0)
+
+
+class TestLocations:
+    def test_one_object_per_name(self):
+        assert Loc("R4") is REGS[4]
+        assert slot_loc(8) is Loc("S8")
+        assert str(REGS[4]) == REGS[4].name == "R4"
+        assert repr(HI) == "Loc(name='HI')"
+
+    def test_pickle_keeps_identity(self):
+        # the flow cache and the process pool ship programs by pickle; a
+        # location must come back as the same interned object
+        for loc in (REGS[29], LO, slot_loc(12)):
+            assert pickle.loads(pickle.dumps(loc)) is loc
+
+    def test_locations_and_immediates_never_equal(self):
+        assert REGS[0] != Imm(0)
+        assert Imm(0) != REGS[0]
+        assert REGS[0] in {REGS[0]} and Imm(0) not in {REGS[0]}

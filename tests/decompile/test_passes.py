@@ -6,8 +6,12 @@ import pytest
 from repro.compiler import compile_source, CompilerOptions
 from repro.decompile import decompile
 from repro.decompile.decompiler import DecompilationOptions
+from repro.decompile.cfg import build_cfg
 from repro.decompile.interp import CdfgInterpreter
-from repro.decompile.microop import Imm, Opcode
+from repro.decompile.microop import (
+    ARG_LOCS, REGS, Imm, MicroOp, Opcode, ZERO, slot_loc,
+)
+from repro.decompile.passes import constprop, propagate_constants, reroll_loops
 from repro.sim import run_executable
 
 
@@ -68,6 +72,55 @@ class TestConstantPropagation:
         """
         exe, program = _decompiled(source, opt_level=0)  # keep the branch in the binary
         _equivalent(exe, program)
+
+    def test_solver_reaches_fixpoint_without_a_visit_cap(self):
+        # a loop that loses one constant per iteration: its body copies a
+        # chain of N slots down by one (S_k = S_{k-1}, highest first) and
+        # bumps S_1, so NAC walks down the chain one visit at a time.  The
+        # fixpoint takes about 2N visits over 3 blocks; a solver capped at
+        # 50 visits per block stops early with S_N still "constant 5" at
+        # the exit and folds the store to #5.
+        n = 120
+        slots = [slot_loc(4 * k) for k in range(n + 1)]
+        ops = [MicroOp(Opcode.CONST, dst=slots[k], a=Imm(5)) for k in range(1, n + 1)]
+        ops += [MicroOp(Opcode.MOVE, dst=slots[k], a=slots[k - 1]) for k in range(n, 1, -1)]
+        ops.append(MicroOp(Opcode.ADD, dst=slots[1], a=slots[1], b=Imm(1)))
+        loop = 0x1000 + 4 * n
+        ops.append(MicroOp(Opcode.BRANCH, a=ARG_LOCS[0], b=ZERO, cond="ne", target=loop))
+        ops.append(MicroOp(Opcode.STORE, a=slots[n], b=ZERO, offset=0x100))
+        ops.append(MicroOp(Opcode.HALT))
+        for index, op in enumerate(ops):
+            op.pc = 0x1000 + 4 * index
+        cfg = build_cfg(ops, 0x1000)
+        assert len(cfg.blocks) == 3
+
+        in_states = constprop._solve(cfg, [constprop._BlockTransfer(b) for b in cfg.blocks])
+        # a true fixpoint: merging any edge again changes nothing
+        for block in cfg.blocks:
+            out = constprop._BlockTransfer(block).apply(in_states[block.index])
+            for succ in block.succs:
+                assert not constprop._merge_into(dict(in_states[succ]), out)
+
+        propagate_constants(cfg)
+        store = next(op for op in cfg.all_ops() if op.opcode is Opcode.STORE)
+        assert store.a == slots[n], "the loop-carried slot is not a constant"
+
+    def test_caller_value_does_not_meet_a_constant_as_that_constant(self):
+        # R8 comes from the caller on the taken path and is 5 on the
+        # other: at the join it is unknown, so the store keeps R8
+        r4, r8 = ARG_LOCS[0], REGS[8]
+        ops = [
+            MicroOp(Opcode.BRANCH, a=r4, b=ZERO, cond="eq", target=0x108),
+            MicroOp(Opcode.CONST, dst=r8, a=Imm(5)),
+            MicroOp(Opcode.STORE, a=r8, b=ZERO, offset=0x100),
+            MicroOp(Opcode.HALT),
+        ]
+        for index, op in enumerate(ops):
+            op.pc = 0x100 + 4 * index
+        cfg = build_cfg(ops, 0x100)
+        propagate_constants(cfg)
+        store = next(op for op in cfg.all_ops() if op.opcode is Opcode.STORE)
+        assert store.a == r8
 
 
 class TestStackRemoval:
@@ -172,6 +225,27 @@ class TestLoopRerolling:
         return 0;
     }
     """
+
+    def test_reports_canonicalization_without_a_reroll(self):
+        # a rotating copy in a loop that is not unrolled: the pass rewrites
+        # the latch (r10 = r9 + 1; r9 = r10  ->  r9 = r9 + 1) but rerolls
+        # nothing, and must still report that it changed the CFG
+        r4, r9, r10 = REGS[4], REGS[9], REGS[10]
+        ops = [
+            MicroOp(Opcode.BRANCH, a=r9, b=r4, cond="ge", target=0x110),
+            MicroOp(Opcode.ADD, dst=r10, a=r9, b=Imm(1)),
+            MicroOp(Opcode.MOVE, dst=r9, a=r10),
+            MicroOp(Opcode.JUMP, target=0x100),
+            MicroOp(Opcode.HALT),
+        ]
+        for index, op in enumerate(ops):
+            op.pc = 0x100 + 4 * index
+        cfg = build_cfg(ops, 0x100)
+        stats = reroll_loops(cfg)
+        assert stats.loops_rerolled == 0
+        assert stats.rotations_canonicalized == 1 and stats.changed
+        latch = cfg.blocks[1]
+        assert [str(op) for op in latch.ops] == ["R9 = add R9, #1", "goto 0x100"]
 
     def test_rerolls_O3_loops(self):
         exe, program = _decompiled(self._SOURCE, opt_level=3)

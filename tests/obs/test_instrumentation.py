@@ -158,6 +158,63 @@ class TestFlowSpans:
                 "flow.decompile", "flow.partition"} <= names
 
 
+class TestDecompilerMetrics:
+    PASSES = ("constant_propagation", "copy_propagation",
+              "dead_code_elimination", "stack_removal", "strength_promotion",
+              "loop_rerolling", "size_reduction")
+
+    def test_passes_produce_spans_and_run_counts(self, telemetry):
+        from repro.decompile import decompile
+
+        program = decompile(compile_source(get_benchmark("brev").source))
+        functions = len(program.functions)
+        for name in self.PASSES:
+            assert _counter_value(f"decompile.pass.{name}.runs_total") > 0, name
+        # structural passes run once per function
+        assert _counter_value("decompile.pass.loop_rerolling.runs_total") \
+            == functions
+        # every constant-propagation run is one solve
+        assert _counter_value("decompile.constprop_solves_total") == \
+            _counter_value("decompile.pass.constant_propagation.runs_total")
+        # a structural pass that changed nothing skips its cleanup round
+        assert _counter_value("decompile.cleanup_rounds_skipped_total") > 0
+        spans = [e for e in obs.trace_events()
+                 if e["name"].startswith("decompile.pass.")]
+        assert {e["name"] for e in spans} == {
+            f"decompile.pass.{name}" for name in self.PASSES}
+        assert {e["args"]["function"] for e in spans} == set(program.functions)
+
+    def test_disabled_pass_is_not_counted(self, telemetry):
+        from repro.decompile import decompile
+        from repro.decompile.decompiler import DecompilationOptions
+
+        options = DecompilationOptions(loop_rerolling=False)
+        decompile(compile_source(get_benchmark("brev").source), options)
+        assert obs.registry().get("decompile.pass.loop_rerolling.runs_total") \
+            is None
+        assert _counter_value("decompile.pass.size_reduction.runs_total") > 0
+
+    def test_disabled_decompile_registers_nothing(self):
+        from repro.decompile import decompile
+
+        obs.disable()
+        obs.clear_metrics()
+        obs.clear_trace()
+        decompile(compile_source(get_benchmark("brev").source))
+        assert len(obs.registry()) == 0
+        assert not obs.trace_events()
+
+    def test_stats_prints_decompiler_counters(self, telemetry, capsys):
+        from repro.decompile import decompile
+
+        decompile(compile_source(get_benchmark("crc").source))
+        obs.save_stats(obs.snapshot())
+        assert main(["stats"]) == 0
+        out = capsys.readouterr().out
+        assert "decompile.pass.constant_propagation.runs_total" in out
+        assert "decompile.constprop_solves_total" in out
+
+
 class TestDynamicMetrics:
     def test_multi_app_run_populates_dynamic_metrics(self, telemetry):
         from repro.dynamic.multi import AppSpec, run_multi_app_flow

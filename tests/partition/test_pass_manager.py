@@ -174,6 +174,19 @@ class TestApi:
         with pytest.raises(ValueError, match="total_cycles"):
             partition(_random_candidates(4, 3), platform=MIPS_200MHZ)
 
+    @pytest.mark.parametrize(
+        "algorithm", ["90-10", "greedy", "gclp", "annealing", "exhaustive"]
+    )
+    def test_empty_selection_has_float_area(self, algorithm):
+        # nothing to place: the summed area must still be a float, not the
+        # int 0 that sum() starts from
+        outcome = partition(
+            [], platform=MIPS_200MHZ, total_cycles=1_000_000, passes=algorithm,
+        )
+        assert outcome.result.selected == []
+        assert type(outcome.result.area_used) is float
+        assert outcome.result.area_used == 0.0
+
     def test_prebuilt_graph_needs_no_total_cycles(self):
         graph = build_graph(
             _random_candidates(4, 3), MIPS_200MHZ, total_cycles=1_000_000
